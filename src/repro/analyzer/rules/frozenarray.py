@@ -39,9 +39,13 @@ FROZEN_FIELDS: Dict[str, FrozenSet[str]] = {
     ),
     "repro.fastpath.compile.CompiledClueTable": frozenset(
         {
-            "levels",
             "probe_index",
+            "hash_mults",
+            "slot_key",
+            "slot_rec",
+            "rec_method",
             "rec_fd",
+            "rec_clue",
             "rec_cont_node",
             "rec_cont_depth",
             "rec_stop_row",

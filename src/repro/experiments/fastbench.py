@@ -34,7 +34,11 @@ from repro.fastpath.certify import (
     certify_clue,
     certify_full,
 )
-from repro.fastpath.compile import compile_clue_table, compile_trie
+from repro.fastpath.compile import (
+    PROBE_BUCKETS,
+    compile_clue_table,
+    compile_trie,
+)
 from repro.fastpath.kernels import (
     as_destination_array,
     as_length_array,
@@ -89,7 +93,7 @@ def sample_destination_values(
 def _build_fixture(table_size: int, seed: int, width: int = 32):
     sender_entries = generate_table(table_size, seed=seed, width=width)
     receiver_entries = derive_neighbor(
-        sender_entries, NeighborProfile(), seed=seed + 1
+        sender_entries, NeighborProfile(), seed=seed + 1, width=width
     )
     sender_trie = BinaryTrie(width)
     for prefix, next_hop in sender_entries:
@@ -338,7 +342,11 @@ def run_fastpath_bench(
             "bytes_per_prefix": trie_nbytes / prefix_count,
             "entropy_bound_bytes_per_prefix": entropy_bits / 8.0,
             "full": _rates(packets, full_elapsed, full_refs),
-            "clue": _rates(packets, clue_elapsed, clue_refs),
+            "clue": dict(
+                _rates(packets, clue_elapsed, clue_refs),
+                clue_table_load=ltable.load(),
+                clue_probe_buckets=PROBE_BUCKETS,
+            ),
             "memrefs_vs_dense": (
                 full_refs / dense_full_refs if dense_full_refs else None
             ),

@@ -11,12 +11,19 @@ root = 0), ``child[2 * node + bit]`` holding the child id or -1, and
 (-1 otherwise).  Descending one bit is a single gather instead of two
 dict probes.
 
-``CompiledClueTable`` — per-clue-length sorted key arrays probed with a
-binary search (numpy ``searchsorted`` over the whole batch at once),
-parallel record arrays for the FD code, the Ptr continuation vertex and
-its depth, and per-record rows into a packed Claim-1 stop bitmask
-(Advance's "can any longer match exist below?" Booleans, one bit per
-trie vertex).
+``CompiledClueTable`` — one bucketized 2-choice cuckoo table keyed by
+``(bits << 6) | length`` (``key_shift`` bits of length at other widths):
+every key lives in one of two buckets of :data:`BUCKET_WAYS` slots, so
+a probe reads at most :data:`PROBE_BUCKETS` buckets whatever the clue
+length — the batch kernel gathers both candidate buckets of every lane
+at once and compares.  The build is pure Python over 64-bit-masked
+ints: bounded evictions, then a deterministic doubling and rehash.
+Parallel record columns, each at its narrowest signed dtype, hold the
+method, the FD code, the outgoing clue, the Ptr continuation vertex and
+its depth, and a row into a packed Claim-1 stop bitmask (Advance's "can
+any longer match exist below?" Booleans, one bit per trie vertex); two
+sentinel rows make a miss and a clueless lane gathers too.  The
+``probe_index`` dict is the pure-Python kernel's independent probe.
 
 Results are interned in a shared ``ResultPool`` so a lane's outcome is
 one int32 code; the pool decodes it back to ``(prefix, next_hop)`` and
@@ -34,9 +41,40 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.addressing import Prefix
-from repro.fastpath.backend import get_numpy, numpy_eligible
+from repro.fastpath.backend import (
+    CODE_CLUE_MISS,
+    CODE_FD_IMMEDIATE,
+    CODE_FULL,
+    CODE_RESUMED,
+    get_numpy,
+    numpy_eligible,
+)
 from repro.lookup.restricted import TrieContinuation
 from repro.trie.binary_trie import BinaryTrie
+
+
+#: Slots per cuckoo bucket: a probe reads both candidate buckets whole.
+BUCKET_WAYS = 4
+
+#: Candidate buckets per key — the physical probe bound of a lookup.
+PROBE_BUCKETS = 2
+
+#: Odd 64-bit multipliers of the two bucket hashes.
+HASH_MULTS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F)
+
+#: Key of an empty slot; real keys are never negative.
+EMPTY_KEY = -1
+
+_MASK64 = (1 << 64) - 1
+
+#: Highest load the first cuckoo build is sized for.
+_MAX_LOAD = 0.9
+
+#: Evictions one insertion may make before the table grows.
+_MAX_KICKS = 128
+
+#: Bucket-count doublings a build may make before it gives up.
+_MAX_GROWS = 8
 
 
 class FastpathUnsupported(ValueError):
@@ -176,6 +214,15 @@ class CompiledClueTable:
     address the dense binary arrays — Claim-1 stop bits are a
     per-binary-vertex notion — while :attr:`layout` records which
     layout the *full-lookup* side of the kernels should descend.
+
+    The probe structure is one bucketized 2-choice cuckoo table over
+    the keys ``(bits << key_shift) | length``: ``slot_key`` and
+    ``slot_rec`` hold :data:`BUCKET_WAYS` slots per bucket (an empty
+    slot keys :data:`EMPTY_KEY` and points at the miss sentinel).  The
+    record columns carry two sentinel rows past the ``records`` real
+    ones — :attr:`miss_record` (a probe that found nothing) and
+    :attr:`full_record` (no usable clue) — so the method, code and
+    outgoing clue of every lane are plain gathers.
     """
 
     __slots__ = (
@@ -184,12 +231,21 @@ class CompiledClueTable:
         "width",
         "backend",
         "records",
-        "levels",
+        "miss_record",
+        "full_record",
         "probe_index",
+        "key_shift",
+        "hash_shift",
+        "hash_mults",
+        "slot_key",
+        "slot_rec",
+        "rec_method",
         "rec_fd",
+        "rec_clue",
         "rec_cont_node",
         "rec_cont_depth",
         "rec_stop_row",
+        "itemsizes",
         "stop_masks",
         "has_stops",
     )
@@ -201,9 +257,12 @@ class CompiledClueTable:
         self.width = trie.width
         self.backend = trie.backend
         pool = trie.pool
-        by_length: Dict[int, List[Tuple[int, int]]] = {}
+        self.key_shift = trie.width.bit_length()
+        keys: List[int] = []
         probe_index: Dict[Tuple[int, int], int] = {}
+        rec_method: List[int] = []
         rec_fd: List[int] = []
+        rec_clue: List[int] = []
         rec_cont_node: List[int] = []
         rec_cont_depth: List[int] = []
         rec_stop_row: List[int] = []
@@ -218,15 +277,17 @@ class CompiledClueTable:
                     "clue width %d does not match trie width %d"
                     % (clue.width, trie.width)
                 )
-            record = len(rec_fd)
-            by_length.setdefault(clue.length, []).append((clue.bits, record))
-            probe_index[(clue.length, clue.bits)] = record
+            probe_index[(clue.length, clue.bits)] = len(rec_fd)
+            keys.append((clue.bits << self.key_shift) | clue.length)
             if entry.fd_prefix is not None:
                 rec_fd.append(pool.intern(entry.fd_prefix, entry.fd_next_hop))
+                rec_clue.append(entry.fd_prefix.length)
             else:
                 rec_fd.append(-1)
+                rec_clue.append(-1)
             continuation = entry.continuation
             if continuation is None:
+                rec_method.append(CODE_FD_IMMEDIATE)
                 rec_cont_node.append(-1)
                 rec_cont_depth.append(0)
                 rec_stop_row.append(0)
@@ -242,6 +303,7 @@ class CompiledClueTable:
                     "continuation start %r is not a vertex of the "
                     "compiled trie" % (continuation.start.prefix,)
                 )
+            rec_method.append(CODE_RESUMED)
             rec_cont_node.append(start_id)
             rec_cont_depth.append(continuation.start.prefix.length)
             stops = continuation.stops
@@ -255,7 +317,18 @@ class CompiledClueTable:
                     row_of[id(stops)] = row
                 rec_stop_row.append(row)
         self.records = len(rec_fd)
+        self.miss_record = self.records
+        self.full_record = self.records + 1
+        rec_method.extend((CODE_CLUE_MISS, CODE_FULL))
+        for column in (rec_fd, rec_clue, rec_cont_node):
+            column.extend((-1, -1))
+        rec_cont_depth.extend((0, 0))
+        rec_stop_row.extend((0, 0))
         self.probe_index = probe_index
+        buckets, slot_rec = _cuckoo_build(keys)
+        self.hash_shift = 64 - (buckets.bit_length() - 1)
+        slot_key = [EMPTY_KEY if rec < 0 else keys[rec] for rec in slot_rec]
+        slot_rec = [self.miss_record if rec < 0 else rec for rec in slot_rec]
         self.has_stops = len(stop_dicts) > 1
         mask_bytes = (trie.size + 7) // 8
         mask_rows = []
@@ -269,54 +342,152 @@ class CompiledClueTable:
                     if node_id is not None:
                         row_bits[node_id >> 3] |= 1 << (node_id & 7)
             mask_rows.append(row_bits)
+        columns = {
+            "slot_key": slot_key,
+            "slot_rec": slot_rec,
+            "rec_method": rec_method,
+            "rec_fd": rec_fd,
+            "rec_clue": rec_clue,
+            "rec_cont_node": rec_cont_node,
+            "rec_cont_depth": rec_cont_depth,
+            "rec_stop_row": rec_stop_row,
+        }
+        self.itemsizes = {
+            name: narrow_int_bytes(min(values), max(values))
+            for name, values in columns.items()
+        }
+        # The kernel merges probe results with the full-lookup sentinel
+        # in slot_rec's dtype, so that dtype must hold it too.
+        self.itemsizes["slot_rec"] = narrow_int_bytes(0, self.full_record)
         np = get_numpy()
         if self.backend == "numpy":
-            levels = []
-            for length in sorted(by_length):
-                pairs = sorted(by_length[length])
-                keys = np.asarray([bits for bits, _ in pairs], dtype=np.int64)
-                recs = np.asarray([rec for _, rec in pairs], dtype=np.int64)
-                levels.append((length, keys, recs))
-            self.levels = tuple(levels)
-            self.rec_fd = np.asarray(rec_fd, dtype=np.int64)
-            self.rec_cont_node = np.asarray(rec_cont_node, dtype=np.int64)
-            self.rec_cont_depth = np.asarray(rec_cont_depth, dtype=np.int64)
-            self.rec_stop_row = np.asarray(rec_stop_row, dtype=np.int64)
+            self.hash_mults = np.asarray(HASH_MULTS, dtype=np.uint64)[:, None]
+            for name, values in columns.items():
+                dtype = np.dtype("int%d" % (8 * self.itemsizes[name]))
+                setattr(self, name, np.asarray(values, dtype=dtype))
             self.stop_masks = np.frombuffer(
                 bytes(b"".join(mask_rows)), dtype=np.uint8
             ).reshape(len(mask_rows), mask_bytes)
         else:
-            self.levels = tuple(
-                (
-                    length,
-                    [bits for bits, _ in sorted(by_length[length])],
-                    [rec for _, rec in sorted(by_length[length])],
-                )
-                for length in sorted(by_length)
-            )
-            self.rec_fd = rec_fd
-            self.rec_cont_node = rec_cont_node
-            self.rec_cont_depth = rec_cont_depth
-            self.rec_stop_row = rec_stop_row
+            self.hash_mults = HASH_MULTS
+            for name, values in columns.items():
+                setattr(self, name, values)
             self.stop_masks = mask_rows
+
+    def load(self) -> float:
+        """Occupied share of the cuckoo slots."""
+        return self.records / len(self.slot_key)
 
     def nbytes(self) -> int:
         """Data-plane footprint of the probe and record arrays, in bytes.
 
-        Per-length sorted keys and record ids, the four parallel record
-        columns (int64 lanes; the python backend is accounted the same
-        way for comparability) plus the packed stop bitmask rows.  The
-        ``probe_index`` dict is the python backend's probe structure but
-        mirrors the levels arrays entry for entry, so the flat-array
-        accounting covers it.  Excludes the trie layout — report that
-        separately via the layout's own ``nbytes()``.
+        Every slot and record column at its declared (narrowest signed)
+        itemsize, sentinel rows included, plus the packed stop bitmask
+        rows — the same figure on both backends, and on numpy exactly
+        the arrays' own ``.nbytes``.  The ``probe_index`` dict is the
+        fallback kernel's independent probe oracle, not a data-plane
+        structure.  Excludes the trie layout — report that separately
+        via the layout's own ``nbytes()``.
         """
-        total = 4 * self.records * 8
-        for _length, keys, recs in self.levels:
-            total += (len(keys) + len(recs)) * 8
+        total = sum(
+            len(getattr(self, name)) * size
+            for name, size in self.itemsizes.items()
+        )
         for row in self.stop_masks:
             total += len(row)
         return total
+
+
+def narrow_int_bytes(lo: int, hi: int) -> int:
+    """Bytes of the narrowest signed integer field holding [lo, hi].
+
+    Ranges beyond int64 (width-128 probe keys, pure-Python lists only)
+    are accounted in whole 64-bit words.
+    """
+    for nbytes in (1, 2, 4, 8):
+        half = 1 << (8 * nbytes - 1)
+        if -half <= lo and hi < half:
+            return nbytes
+    bits = max(lo.bit_length(), hi.bit_length()) + 1
+    return 8 * ((bits + 63) // 64)
+
+
+def bucket_of(key: int, mult: int, shift: int) -> int:
+    """One of a key's two candidate buckets: multiplicative hashing.
+
+    Keys wider than 64 bits fold their 64-bit words together first, so
+    for every width-32 key this is exactly the numpy kernel's wrapping
+    ``uint64`` product shifted right by ``shift``.
+    """
+    while key > _MASK64:
+        key = (key & _MASK64) ^ (key >> 64)
+    return ((key * mult) & _MASK64) >> shift
+
+
+def _initial_buckets(count: int) -> int:
+    """Power-of-two bucket count sized for ``count`` keys at
+    :data:`_MAX_LOAD`; never fewer than two buckets."""
+    buckets = 2
+    while buckets * BUCKET_WAYS * _MAX_LOAD < count:
+        buckets *= 2
+    return buckets
+
+
+def _cuckoo_build(keys: List[int]) -> Tuple[int, List[int]]:
+    """``(buckets, slot_rec)``: key ``i`` lives in a slot holding ``i``.
+
+    Inserts in key order; a key whose two buckets are full evicts a
+    resident (way ``kick % BUCKET_WAYS`` of the bucket it did not just
+    leave), which moves to its other bucket.  After
+    :data:`_MAX_KICKS` evictions the build gives up, doubles the bucket
+    count and starts over — every step is deterministic, so the same
+    keys always give the same slots.  Past :data:`_MAX_GROWS` doublings
+    the keys are taken to be adversarial and the table does not compile.
+    """
+    buckets = _initial_buckets(len(keys))
+    for _ in range(_MAX_GROWS):
+        slot_rec = _cuckoo_try(keys, buckets)
+        if slot_rec is not None:
+            return buckets, slot_rec
+        buckets *= 2
+    raise FastpathUnsupported(
+        "%d clue keys found no cuckoo placement in %d buckets"
+        % (len(keys), buckets // 2)
+    )
+
+
+def _cuckoo_try(keys: List[int], buckets: int) -> Optional[List[int]]:
+    shift = 64 - (buckets.bit_length() - 1)
+    mult_a, mult_b = HASH_MULTS
+    homes = [
+        (bucket_of(key, mult_a, shift), bucket_of(key, mult_b, shift))
+        for key in keys
+    ]
+    slot_rec = [-1] * (buckets * BUCKET_WAYS)
+    for record in range(len(keys)):
+        item, evicted_from = record, -1
+        for kick in range(_MAX_KICKS):
+            first, second = homes[item]
+            slot = _free_slot(slot_rec, first)
+            if slot < 0:
+                slot = _free_slot(slot_rec, second)
+            if slot >= 0:
+                slot_rec[slot] = item
+                break
+            evicted_from = second if first == evicted_from else first
+            slot = evicted_from * BUCKET_WAYS + kick % BUCKET_WAYS
+            item, slot_rec[slot] = slot_rec[slot], item
+        else:
+            return None
+    return slot_rec
+
+
+def _free_slot(slot_rec: List[int], bucket: int) -> int:
+    base = bucket * BUCKET_WAYS
+    for slot in range(base, base + BUCKET_WAYS):
+        if slot_rec[slot] < 0:
+            return slot
+    return -1
 
 
 def compile_trie(trie: BinaryTrie, pool: Optional[ResultPool] = None) -> CompiledTrie:

@@ -8,7 +8,10 @@ so they are deliberately *not* marked ``@hot_path`` — the per-element
 loops that RC111 bans from vectorized kernels are the whole method here
 — and *are* marked ``@cold_path``, so the closure rule (RC113) treats
 the kernel dispatch into them as a sanctioned boundary: their per-batch
-result lists are amortized across every lane of the batch.
+result lists are amortized across every lane of the batch.  The clue
+probe here is the compiled table's ``probe_index`` dict, not the cuckoo
+slots the numpy kernel hashes into, so the two backends check each
+other's probe as well as each other's walk.
 
 Cost-model parity with the object graph (and with the numpy kernels):
 

@@ -1,8 +1,11 @@
 """Vectorized batch lookup kernels over the compiled flat arrays.
 
-One numpy gather per trie level replaces two dict probes per packet:
-all lanes of a batch descend in lockstep, with boolean masks retiring
-lanes whose walk ended (no child, or an Advance Claim-1 stop bit).  The
+A clue probe is one gather of both candidate cuckoo buckets for every
+lane of the batch, whatever the clue lengths; a final-decision hit then
+finishes in plain gathers of its record columns.  Descents replace two
+dict probes per packet with one gather per step: each lane walks from
+its own start depth, and lanes whose walk ended (no child, or an
+Advance Claim-1 stop bit) are compacted away after every step.  The
 dense kernels reproduce the object-graph memory-reference accounting
 *bit for bit* — `repro.fastpath.certify` enforces that — so the paper's
 counters stay exact while the wall-clock cost collapses.
@@ -27,13 +30,15 @@ from __future__ import annotations
 
 from repro.fastpath import fallback
 from repro.fastpath.backend import (
-    CODE_CLUE_MISS,
-    CODE_FD_IMMEDIATE,
-    CODE_FULL,
     CODE_RESUMED,
     get_numpy,
 )
-from repro.fastpath.compile import CompiledClueTable, CompiledTrie
+from repro.fastpath.compile import (
+    BUCKET_WAYS,
+    PROBE_BUCKETS,
+    CompiledClueTable,
+    CompiledTrie,
+)
 from repro.fastpath.layouts import CompiledMultibitTrie
 from repro.lookup.hotpath import hot_path
 
@@ -78,41 +83,48 @@ def as_length_array(lengths, width: int = 32):
 
 @hot_path
 def _descend_numpy(np, ctrie, dsts, cur, depths, stop_masks, rows):
-    """Lockstep restricted descent for every lane: (best codes, refs).
+    """Lane-aligned restricted descent: (best codes, refs) per lane.
 
-    Lanes join the walk once the level reaches their start depth; a lane
-    retires when its next child is absent or (with ``stop_masks``) when
-    the vertex it just entered carries its record's Claim-1 stop bit.
-    Per the scalar semantics the start vertex itself is never charged
-    nor matched; every *entered* vertex costs one reference, may update
-    the best marked code, and only then is its stop bit consulted.
+    Every lane steps from its own start vertex and depth, and the live
+    lanes are compacted after each step, so a batch costs as many steps
+    as its longest walk, not ``width`` minus its shallowest start.  A
+    lane retires when its next child is absent or (with ``stop_masks``)
+    when the vertex it last entered carries its record's Claim-1 stop
+    bit.  Per the scalar semantics the start vertex itself is never
+    charged nor matched; every *entered* vertex costs one reference,
+    may update the best marked code, and only then is its stop bit
+    consulted.
+
+    ``path`` holds each lane's address shifted so its next bit sits at
+    bit ``width - 1``.  A vertex at depth ``width`` has no children, so
+    whatever bit a lane reads there, the step retires it; a walk enters
+    at most ``width`` vertices, which bounds the loop.
     """
-    width = ctrie.width
+    top = ctrie.width - 1
     child = ctrie.child
     node_result = ctrie.node_result
     lanes = dsts.shape[0]
     best = np.full(lanes, -1, dtype=np.int64)
     refs = np.zeros(lanes, dtype=np.int64)
-    alive = np.ones(lanes, dtype=bool)
-    start = int(depths.min()) if lanes else width
-    for depth in range(start, width):
-        if not alive.any():
+    live = np.arange(lanes)
+    path = dsts << depths
+    going = None  # lanes whose last entered vertex carries no stop bit
+    for _ in range(ctrie.width):
+        branch = child[2 * cur + ((path >> top) & 1)]
+        entered = branch >= 0
+        if going is not None:
+            entered &= going
+        keep = entered.nonzero()[0]
+        if not keep.shape[0]:
             break
-        moving = alive & (depths <= depth)
-        if not moving.any():
-            continue
-        bits = (dsts >> (width - 1 - depth)) & 1
-        branch = child[2 * cur + bits]
-        entered = moving & (branch >= 0)
-        alive = alive & (~moving | entered)
-        cur = np.where(entered, branch, cur)
-        refs = refs + entered
+        live, cur, path = live[keep], branch[keep], path[keep] << 1
+        refs[live] += 1
         codes = node_result[cur]
-        best = np.where(entered & (codes >= 0), codes, best)
+        marked = (codes >= 0).nonzero()[0]
+        best[live[marked]] = codes[marked]
         if stop_masks is not None:
-            stop_bytes = stop_masks[rows, cur >> 3].astype(np.int64)
-            stopped = entered & ((stop_bytes >> (cur & 7)) & 1 > 0)
-            alive = alive & ~stopped
+            rows = rows[keep]
+            going = ((stop_masks[rows, cur >> 3] >> (cur & 7)) & 1) == 0
     return best, refs
 
 
@@ -172,76 +184,78 @@ def _full_dispatch_numpy(np, layout, dsts):
 
 
 @hot_path
+def _clue_lengths_numpy(np, pool, codes):
+    """Outgoing clue length per result code (−1 where nothing matched)."""
+    lengths = pool.lengths_array()
+    if not len(lengths):  # empty pool: nothing ever matches
+        return np.full(codes.shape[0], -1, dtype=np.int64)
+    return np.where(codes >= 0, lengths[np.maximum(codes, 0)], np.int64(-1))
+
+
+@hot_path
 def _clue_lookup_numpy(np, ctable, dsts, clue_lens):
-    """Clue-assisted lookup, batched: (methods, codes, new_clues, memrefs)."""
-    ctrie = ctable.trie
+    """Clue-assisted lookup, batched: (methods, codes, new_clues, memrefs).
+
+    One probe of the cuckoo table for every lane: both candidate
+    buckets are gathered whole and compared against the lane's key, and
+    a lane without a usable clue is sent to the full-lookup sentinel
+    record.  Method, code and outgoing clue are then one gather each;
+    only miss/clueless lanes (full lookup) and Ptr lanes (resumed
+    descent) do any further work.
+    """
     width = ctable.width
-    lanes = dsts.shape[0]
-    methods = np.full(lanes, np.int64(CODE_FULL), dtype=np.int64)
-    codes = np.full(lanes, -1, dtype=np.int64)
-    memrefs = np.zeros(lanes, dtype=np.int64)
-    record = np.full(lanes, -1, dtype=np.int64)
-    carrying = (clue_lens >= 0) & (clue_lens <= width)
-    memrefs = memrefs + carrying  # every probe costs one reference
-    for length, keys, recs in ctable.levels:
-        level = carrying & (clue_lens == length)
-        if not level.any():
-            continue
-        if length:
-            wanted = dsts[level] >> (width - length)
-        else:
-            wanted = dsts[level] & 0
-        if keys.shape[0]:
-            position = np.minimum(
-                np.searchsorted(keys, wanted), keys.shape[0] - 1
-            )
-            record[level] = np.where(
-                keys[position] == wanted, recs[position], np.int64(-1)
-            )
-    hit = record >= 0
-    miss = carrying & ~hit
-    methods = np.where(miss, np.int64(CODE_CLUE_MISS), methods)
-    full_path = ~hit
-    if full_path.any():
+    # A clue length is usable iff 0 <= length <= width; negative lengths
+    # wrap to huge unsigned values, so one unsigned compare checks both.
+    carrying = clue_lens.view(np.uint64) <= np.uint64(width)
+    # Unusable lanes still form a key (the shift is kept in range) but
+    # are sent to the full-lookup sentinel below whatever it matches.
+    bits = dsts >> ((width - clue_lens) & 63)
+    keys = (bits << ctable.key_shift) | clue_lens
+    buckets = (ctable.hash_mults * keys.view(np.uint64)) >> np.uint64(
+        ctable.hash_shift
+    )
+    # (buckets, ways, lanes): every candidate slot of every lane, laid
+    # out so the reduction over candidates runs along the first axis.
+    slots = (
+        buckets.astype(np.int64)[:, None, :] * BUCKET_WAYS
+        + np.arange(BUCKET_WAYS)[:, None]
+    ).reshape(PROBE_BUCKETS * BUCKET_WAYS, -1)
+    found = np.where(
+        ctable.slot_key[slots] == keys,
+        ctable.slot_rec[slots],
+        ctable.miss_record,
+    ).min(axis=0)
+    record = np.where(carrying, found, ctable.full_record)
+    methods = ctable.rec_method[record].astype(np.int64)
+    codes = ctable.rec_fd[record].astype(np.int64)
+    new_clues = ctable.rec_clue[record].astype(np.int64)
+    memrefs = carrying.astype(np.int64)  # every probe costs one reference
+    pool = ctable.trie.pool
+    full_path = (record >= ctable.miss_record).nonzero()[0]
+    if full_path.shape[0]:
         full_codes, full_refs = _full_dispatch_numpy(
             np, ctable.layout, dsts[full_path]
         )
         codes[full_path] = full_codes
         memrefs[full_path] += full_refs
-    if ctable.records:
-        safe = np.maximum(record, 0)
-        fd = ctable.rec_fd[safe]
-        cont = ctable.rec_cont_node[safe]
-        immediate = hit & (cont < 0)
-        methods = np.where(immediate, np.int64(CODE_FD_IMMEDIATE), methods)
-        codes = np.where(immediate, fd, codes)
-        resumed = hit & (cont >= 0)
-        if resumed.any():
-            methods = np.where(resumed, np.int64(CODE_RESUMED), methods)
-            masks = ctable.stop_masks if ctable.has_stops else None
-            rows = (
-                ctable.rec_stop_row[safe][resumed]
-                if masks is not None
-                else None
-            )
-            best, refs = _descend_numpy(
-                np,
-                ctrie,
-                dsts[resumed],
-                cont[resumed],
-                ctable.rec_cont_depth[safe][resumed],
-                masks,
-                rows,
-            )
-            codes[resumed] = np.where(best >= 0, best, fd[resumed])
-            memrefs[resumed] += refs
-    lengths = ctrie.pool.lengths_array()
-    if len(lengths):
-        new_clues = np.where(
-            codes >= 0, lengths[np.maximum(codes, 0)], np.int64(-1)
+        new_clues[full_path] = _clue_lengths_numpy(np, pool, full_codes)
+    resumed = (methods == CODE_RESUMED).nonzero()[0]
+    if resumed.shape[0]:
+        hits = record[resumed]
+        masks = ctable.stop_masks if ctable.has_stops else None
+        best, refs = _descend_numpy(
+            np,
+            ctable.trie,
+            dsts[resumed],
+            ctable.rec_cont_node[hits].astype(np.int64),
+            ctable.rec_cont_depth[hits].astype(np.int64),
+            masks,
+            ctable.rec_stop_row[hits] if masks is not None else None,
         )
-    else:  # empty pool: nothing ever matches, so no lane carries a clue
-        new_clues = np.full(lanes, -1, dtype=np.int64)
+        found_codes = np.where(best >= 0, best, codes[resumed])
+        codes[resumed] = found_codes
+        memrefs[resumed] += refs
+        new_clues[resumed] = _clue_lengths_numpy(np, pool, found_codes)
     return methods, codes, new_clues, memrefs
 
 
@@ -264,7 +278,9 @@ def lookup_batch(
 ):
     """Batched clue-assisted lookups over a compiled table.
 
-    Returns ``(methods, codes, new_clues, memrefs)`` — method codes from
+    ``dsts`` and ``clue_lens`` come from :func:`as_destination_array`
+    and :func:`as_length_array` (int64 on the numpy backend).  Returns
+    ``(methods, codes, new_clues, memrefs)`` — method codes from
     `repro.fastpath.backend`, result codes into ``ctable.trie.pool``,
     the outgoing clue length per lane (−1 for no match), and the exact
     object-graph memory-reference count per lane.

@@ -47,7 +47,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.fastpath.backend import get_numpy
-from repro.fastpath.compile import CompiledTrie, ResultPool
+from repro.fastpath.compile import CompiledTrie, ResultPool, narrow_int_bytes
 from repro.trie.binary_trie import BinaryTrie
 
 #: The compiled layout family, as spelled on every ``--layout`` knob.
@@ -60,15 +60,6 @@ STRIDES: Dict[str, int] = {"multibit4": 4, "multibit8": 8}
 def _bits_for(count: int) -> int:
     """Bits needed to index ``count`` distinct values (min 1)."""
     return max(1, (max(count - 1, 0)).bit_length())
-
-
-def _slot_dtype_bytes(lo: int, hi: int) -> int:
-    """Bytes of the narrowest signed integer field holding [lo, hi]."""
-    for nbytes in (1, 2, 4, 8):
-        half = 1 << (8 * nbytes - 1)
-        if -half <= lo and hi < half:
-            return nbytes
-    return 8
 
 
 class CompiledMultibitTrie:
@@ -224,7 +215,7 @@ class CompiledMultibitTrie:
         self.leaf_bits = _bits_for(len(leaf_codes))
         hi = max(self.size - 1, 0)
         self.slot_bits = max(_bits_for(self.size), self.leaf_bits) + 1
-        self.slot_bytes = _slot_dtype_bytes(-len(leaf_codes), hi)
+        self.slot_bytes = narrow_int_bytes(-len(leaf_codes), hi)
         np = get_numpy()
         if self.backend == "numpy":
             dtype = {1: np.int8, 2: np.int16, 4: np.int32, 8: np.int64}[

@@ -339,7 +339,10 @@ class ChaosEngine:
             cfg.table_size, seed=cfg.seed, width=cfg.width
         )
         self.receiver_entries = derive_neighbor(
-            self.sender_entries, NeighborProfile(), seed=cfg.seed + 1
+            self.sender_entries,
+            NeighborProfile(),
+            seed=cfg.seed + 1,
+            width=cfg.width,
         )
         self.sender_trie = BinaryTrie(cfg.width)
         for prefix, next_hop in self.sender_entries:

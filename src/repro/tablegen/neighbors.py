@@ -82,22 +82,33 @@ def derive_neighbor(
     profile: Optional[NeighborProfile] = None,
     seed: int = 1,
     next_hops: Sequence[object] = ("hop-a", "hop-b", "hop-c", "hop-d"),
-    width: int = 32,
+    width: Optional[int] = None,
     histogram: Optional[dict] = None,
 ) -> List[Entry]:
     """Derive a neighbouring router's table from ``base``.
 
     ``width``/``histogram`` control the family of the *fresh* prefixes
-    only the neighbour has; IPv6 callers should pass 128 and an IPv6
-    histogram so extras land in the right space.
+    only the neighbour has.  ``width`` defaults to the width of the base
+    entries (32 for an empty base); a base mixing address families, or
+    one that disagrees with an explicit ``width``, raises ``ValueError``.
+    At width 128 the histogram defaults to the IPv6 one.
     """
+    base = list(base)
+    widths = {prefix.width for prefix, _ in base}
+    if width is not None:
+        widths.add(width)
+    if len(widths) > 1:
+        raise ValueError(
+            "derive_neighbor needs one address family, got widths %s"
+            % sorted(widths)
+        )
+    width = widths.pop() if widths else 32
     if width == 128 and histogram is None:
         from repro.tablegen.histogram import DEFAULT_IPV6_HISTOGRAM
 
         histogram = DEFAULT_IPV6_HISTOGRAM
     profile = profile if profile is not None else NeighborProfile()
     rng = random.Random(seed)
-    base = list(base)
     existing = {prefix for prefix, _ in base}
     result: Dict[Prefix, object] = {}
 

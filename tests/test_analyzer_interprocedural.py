@@ -161,6 +161,23 @@ def test_frozen_rule_permits_rebind_scalar_compiler_and_waived_stores():
     assert result.unused_suppressions == []
 
 
+def test_frozen_rule_flags_cuckoo_slot_stores():
+    result = run(
+        FrozenArrayRule(),
+        load("frozen_pkg/compile_stub.py", path="src/repro/fastpath/compile.py"),
+        load("frozen_pkg/mutate_slots.py"),
+    )
+    messages = sorted(f.message for f in result.findings)
+    assert all(f.code == "RC115" for f in result.findings)
+    assert len(messages) == 2
+    assert "plant_key" in messages[0]
+    assert "subscript store" in messages[0]
+    assert "CompiledClueTable.slot_key" in messages[0]
+    assert "retarget_slot" in messages[1]
+    assert "in-place store" in messages[1]
+    assert "CompiledClueTable.slot_rec" in messages[1]
+
+
 def layout_sources():
     return (
         load("frozen_pkg/layouts_stub.py", path="src/repro/fastpath/layouts.py"),

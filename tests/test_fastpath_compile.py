@@ -8,14 +8,19 @@ from repro.core.receiver import ReceiverState
 from repro.core.simple import SimpleMethod
 from repro.core.table import ClueTable
 from repro.fastpath import (
+    CODE_CLUE_MISS,
     HAVE_NUMPY,
     CompiledTrie,
     FastpathUnsupported,
     ResultPool,
+    as_destination_array,
+    as_length_array,
     compile_clue_table,
     compile_trie,
+    lookup_batch,
     numpy_eligible,
 )
+from repro.fastpath.compile import EMPTY_KEY
 from repro.lookup.restricted import SetContinuation
 from repro.trie.binary_trie import BinaryTrie
 
@@ -177,4 +182,14 @@ def test_clue_width_mismatch_is_unsupported():
 def test_empty_table_compiles_to_zero_records():
     ctable = compile_clue_table(ClueTable(), BinaryTrie(32))
     assert ctable.records == 0
-    assert ctable.levels == ()
+    assert all(int(key) == EMPTY_KEY for key in ctable.slot_key)
+    assert all(int(rec) == ctable.miss_record for rec in ctable.slot_rec)
+    dsts = as_destination_array([0, 1 << 31, (1 << 32) - 1, 12345])
+    lens = as_length_array([0, 1, 32, 17])
+    for force_python in (False, True):
+        methods, codes, _new, memrefs = lookup_batch(
+            ctable, dsts, lens, force_python=force_python
+        )
+        assert [int(m) for m in methods] == [CODE_CLUE_MISS] * 4
+        assert [int(c) for c in codes] == [-1] * 4
+        assert [int(r) for r in memrefs] == [2] * 4

@@ -1,10 +1,13 @@
 """Unit tests for synthetic table generation and neighbour derivation."""
 
+import hashlib
+
 import pytest
 
 from repro.addressing import Prefix
 from repro.tablegen import (
     DEFAULT_IPV4_HISTOGRAM,
+    DEFAULT_IPV6_HISTOGRAM,
     NeighborProfile,
     PAPER_PAIRS,
     PAPER_TABLE_SIZES,
@@ -140,6 +143,41 @@ class TestDeriveNeighbor:
     def test_deterministic(self):
         base = generate_table(300, seed=16)
         assert derive_neighbor(base, seed=17) == derive_neighbor(base, seed=17)
+
+    def test_width_is_inferred_from_the_base(self):
+        base = generate_table(
+            200, seed=3, histogram=DEFAULT_IPV6_HISTOGRAM, width=128
+        )
+        neighbor = derive_neighbor(base, NeighborProfile(add=0.05), seed=4)
+        assert {prefix.width for prefix, _ in neighbor} == {128}
+        fresh = {q for q, _ in neighbor} - {q for q, _ in base}
+        assert fresh
+
+    def test_mixed_families_raise(self):
+        base = generate_table(50, seed=5) + generate_table(
+            50, seed=6, histogram=DEFAULT_IPV6_HISTOGRAM, width=128
+        )
+        with pytest.raises(ValueError):
+            derive_neighbor(base, seed=7)
+        with pytest.raises(ValueError):
+            derive_neighbor(generate_table(50, seed=5), seed=7, width=128)
+
+    def test_width_32_output_is_unchanged(self):
+        # Digest of the output before the width became inferred: the
+        # width-32 draw must stay byte-identical for a fixed seed.
+        base = generate_table(300, seed=16)
+        for width in (None, 32):
+            out = derive_neighbor(
+                base,
+                NeighborProfile(add=0.05, add_specifics=0.02),
+                seed=17,
+                width=width,
+            )
+            rows = repr([(p.bits, p.length, p.width, h) for p, h in out])
+            assert len(out) == 316
+            assert hashlib.sha256(rows.encode()).hexdigest() == (
+                "8615c4e63fbd0c847f5ae91455ca619e60074e50cd249e46ab0b3ad7cd395921"
+            )
 
 
 class TestSubsetTable:
