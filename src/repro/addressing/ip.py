@@ -127,7 +127,7 @@ class Address:
 
     def prefix(self, length: int) -> "Prefix":
         """The length-``length`` prefix of this address."""
-        return Prefix(self.leading_bits(length), length, self.width)
+        return Prefix._derived(self.leading_bits(length), length, self.width)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -172,6 +172,20 @@ class Prefix:
         self.bits = bits
         self.length = length
         self.width = width
+
+    @staticmethod
+    def _derived(bits: int, length: int, width: int) -> "Prefix":
+        """A prefix built without argument checks.
+
+        Only for results derived from an already valid prefix or address
+        whose own checks passed: they fit by construction, and skipping
+        the re-validation keeps trie building cheap.
+        """
+        prefix = object.__new__(Prefix)
+        prefix.bits = bits
+        prefix.length = length
+        prefix.width = width
+        return prefix
 
     @classmethod
     def root(cls, width: int = IPV4_WIDTH) -> "Prefix":
@@ -232,13 +246,15 @@ class Prefix:
             raise ValueError("bit must be 0 or 1")
         if self.length >= self.width:
             raise PrefixLengthError("cannot extend a full-width prefix")
-        return Prefix((self.bits << 1) | bit, self.length + 1, self.width)
+        return Prefix._derived(
+            (self.bits << 1) | bit, self.length + 1, self.width
+        )
 
     def parent(self) -> "Prefix":
         """The prefix shortened by one bit."""
         if not self.length:
             raise PrefixLengthError("the root prefix has no parent")
-        return Prefix(self.bits >> 1, self.length - 1, self.width)
+        return Prefix._derived(self.bits >> 1, self.length - 1, self.width)
 
     def truncate(self, length: int) -> "Prefix":
         """The leading-``length``-bit prefix of this prefix."""
@@ -246,7 +262,9 @@ class Prefix:
             raise PrefixLengthError(
                 "cannot truncate /%d to /%d" % (self.length, length)
             )
-        return Prefix(self.bits >> (self.length - length), length, self.width)
+        return Prefix._derived(
+            self.bits >> (self.length - length), length, self.width
+        )
 
     def is_prefix_of(self, other: "Prefix") -> bool:
         """True if ``other`` extends (or equals) this prefix."""

@@ -2,9 +2,11 @@
 
 A router that receives clues keeps its ordinary forwarding structures —
 one binary trie and one Patricia trie over its own table — and the clue
-builders derive entries against them.  Building both once and sharing them
+builders derive entries against them.  Building them once and sharing them
 across methods mirrors a real router, where the clue machinery sits next
-to whatever lookup structure is already deployed.
+to whatever lookup structure is already deployed.  The binary trie is built
+with the state; the Patricia and multibit tries only on first use, since
+most clue tables (every ``"regular"``-technique one) never read them.
 """
 
 from __future__ import annotations
@@ -32,8 +34,15 @@ class ReceiverState:
             entries, key=lambda item: (item[0].length, item[0].bits)
         )
         self.trie = BinaryTrie.from_prefixes(self.entries, width)
-        self.patricia = PatriciaTrie.from_prefixes(self.entries, width)
+        self._patricia: Optional[PatriciaTrie] = None
         self._multibit = None
+
+    @property
+    def patricia(self) -> PatriciaTrie:
+        """The Patricia trie, built lazily on first use."""
+        if self._patricia is None:
+            self._patricia = PatriciaTrie.from_prefixes(self.entries, self.width)
+        return self._patricia
 
     @property
     def multibit(self):
@@ -77,17 +86,21 @@ class ReceiverState:
     ) -> None:
         """Apply a route change to every derived structure.
 
-        The binary and Patricia tries update in place; the multibit trie
-        (which has no cheap delete) is dropped and lazily rebuilt.
+        The binary trie, and the Patricia trie once built, update in place;
+        the multibit trie (which has no cheap delete) is dropped and lazily
+        rebuilt.
         """
         removed = list(remove)
         added = list(add)
+        patricia = self._patricia
         for prefix in removed:
             self.trie.remove(prefix)
-            self.patricia.remove(prefix)
+            if patricia is not None:
+                patricia.remove(prefix)
         for prefix, next_hop in added:
             self.trie.insert(prefix, next_hop)
-            self.patricia.insert(prefix, next_hop)
+            if patricia is not None:
+                patricia.insert(prefix, next_hop)
         table = dict(self.entries)
         for prefix in removed:
             table.pop(prefix, None)

@@ -110,9 +110,9 @@ class CompiledMultibitTrie:
         self.kind = "multibit%d" % stride
         self.root_result = base.root_result
         self.level_shifts = self._level_shifts(base.width, stride)
-        segments, leaf_counts = self._expand(base, stride)
-        self.size = len(segments)
-        self._pack(segments, leaf_counts)
+        encoded, leaf_counts = self._expand(base, stride)
+        self.size = len(encoded) // self.fanout
+        self._pack(encoded, leaf_counts)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -134,9 +134,18 @@ class CompiledMultibitTrie:
         result seen on the path so far (that *is* leaf pushing — the
         answer travels down into the slot, so no backtracking and no
         best-so-far bookkeeping remain at lookup time).
+
+        Returns the slots of every stride node, flat and *encoded* for
+        :meth:`_pack`: a child stride-node id as itself (``>= 0``), a
+        terminal carrying result code ``c`` as ``-(c + 3)``, and padding
+        past a partial final level as ``-1``.  Also returns each result
+        code's terminal-slot count.
         """
         child = base.child
         node_result = base.node_result
+        if base.backend == "numpy":
+            # Plain ints index far faster than numpy scalars in this walk.
+            child, node_result = child.tolist(), node_result.tolist()
         width = base.width
         fanout = self.fanout
         # Parallel per-stride-node records: binary vertex, inherited
@@ -144,7 +153,7 @@ class CompiledMultibitTrie:
         m_vertex: List[int] = [0]
         m_best: List[int] = [base.root_result]
         m_depth: List[int] = [0]
-        segments: List[List] = []
+        encoded: List[int] = []
         leaf_counts: Dict[int, int] = {}
         index = 0
         while index < len(m_vertex):
@@ -153,36 +162,33 @@ class CompiledMultibitTrie:
             depth = m_depth[index]
             index += 1
             step = min(stride, width - depth)
-            seg: List = [None] * fanout
+            seg: List[int] = [-1] * fanout
             stack: List[Tuple[int, int, int, int]] = [(vertex, 0, 0, inherited)]
             while stack:
                 node, level, path, best = stack.pop()
                 if level == step:
-                    descends = (
-                        int(child[2 * node]) >= 0
-                        or int(child[2 * node + 1]) >= 0
-                    )
+                    descends = child[2 * node] >= 0 or child[2 * node + 1] >= 0
                     if descends and depth + step < width:
                         m_vertex.append(node)
                         m_best.append(best)
                         m_depth.append(depth + step)
-                        seg[path] = ("c", len(m_vertex) - 1)
+                        seg[path] = len(m_vertex) - 1
                     else:
-                        seg[path] = best
+                        seg[path] = -(best + 3)
                         leaf_counts[best] = leaf_counts.get(best, 0) + 1
                     continue
                 span = 1 << (step - level - 1)
                 for bit in (0, 1):
-                    branch = int(child[2 * node + bit])
+                    branch = child[2 * node + bit]
                     prefix_path = (path << 1) | bit
                     if branch < 0:
                         # The whole absent subtree leaf-pushes to one
                         # terminal run carrying the best so far.
                         low = prefix_path << (step - level - 1)
-                        seg[low:low + span] = [best] * span
+                        seg[low:low + span] = [-(best + 3)] * span
                         leaf_counts[best] = leaf_counts.get(best, 0) + span
                     else:
-                        code = int(node_result[branch])
+                        code = node_result[branch]
                         stack.append(
                             (
                                 branch,
@@ -191,26 +197,27 @@ class CompiledMultibitTrie:
                                 code if code >= 0 else best,
                             )
                         )
-            segments.append(seg)
-        return segments, leaf_counts
+            encoded.extend(seg)
+        return encoded, leaf_counts
 
-    def _pack(self, segments: List[List], leaf_counts: Dict[int, int]) -> None:
+    def _pack(self, encoded: List[int], leaf_counts: Dict[int, int]) -> None:
         """Frequency-rank the leaf pool and pack the flat slot array."""
         ranked = sorted(leaf_counts.items(), key=lambda item: (-item[1], item[0]))
         packed_of = {code: rank for rank, (code, _count) in enumerate(ranked)}
         if not packed_of:  # width == 0 cannot happen, but stay total
             packed_of = {-1: 0}
         leaf_codes = sorted(packed_of, key=packed_of.get)
-        slots: List[int] = []
-        for seg in segments:
-            for entry in seg:
-                if entry is None:
-                    # Padding past a partial final level: never probed.
-                    slots.append(-1)
-                elif type(entry) is tuple:
-                    slots.append(entry[1])
-                else:
-                    slots.append(-(packed_of[entry] + 1))
+        # One table translates every encoded slot (see _expand) by plain
+        # indexing: child ids index its head and map to themselves; the
+        # negative encodings index its tail from the end, where terminal
+        # code c sits at -(c + 3) holding its packed slot value, and the
+        # padding at -1 holds -1 (never probed).
+        translate = list(range(self.size))
+        translate.extend(
+            -(packed_of.get(code, 0) + 1)
+            for code in range(max(packed_of), -2, -1)
+        )
+        translate.append(-1)
         self.leaf_slots = sum(leaf_counts.values())
         self.leaf_bits = _bits_for(len(leaf_codes))
         hi = max(self.size - 1, 0)
@@ -221,10 +228,12 @@ class CompiledMultibitTrie:
             dtype = {1: np.int8, 2: np.int16, 4: np.int32, 8: np.int64}[
                 self.slot_bytes
             ]
-            self.slots = np.asarray(slots, dtype=dtype)
+            self.slots = np.asarray(translate, dtype=dtype)[
+                np.fromiter(encoded, dtype=np.int64, count=len(encoded))
+            ]
             self.leaf_codes = np.asarray(leaf_codes, dtype=np.int64)
         else:
-            self.slots = slots
+            self.slots = list(map(translate.__getitem__, encoded))
             self.leaf_codes = leaf_codes
 
     # ------------------------------------------------------------------

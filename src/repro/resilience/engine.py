@@ -379,7 +379,8 @@ class ChaosEngine:
         self.reference = ClueAssistedLookup(
             RegularTrieLookup(self.receiver_entries, cfg.width), table
         )
-        self.oracle = RegularTrieLookup(self.receiver_entries, cfg.width)
+        # The plain LPM walk under the scalar clue lookup is the oracle.
+        self.oracle = self.reference.base
         self.loadgen = ZipfLoadGenerator(
             self.sender_entries,
             self.sender_trie,

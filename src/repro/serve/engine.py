@@ -460,7 +460,8 @@ class ServeEngine:
         reference = ClueAssistedLookup(
             RegularTrieLookup(self.receiver_entries, cfg.width), table
         )
-        oracle = RegularTrieLookup(self.receiver_entries, cfg.width)
+        # The plain LPM walk under the scalar clue lookup is the oracle.
+        oracle = reference.base
         values, lens = workload.values, workload.clue_lens
         per_vals: List[List[int]] = [[] for _ in range(self.plan.shards)]
         per_lens: List[List[int]] = [[] for _ in range(self.plan.shards)]

@@ -45,13 +45,20 @@ class BinaryTrie:
         return trie
 
     def insert(self, prefix: Prefix, next_hop: object) -> TrieNode:
-        """Insert (or update) a prefix; returns its vertex."""
+        """Insert (or update) a prefix; returns its vertex.
+
+        A new vertex on the path gets the matching truncation of
+        ``prefix``; a new vertex for ``prefix`` itself reuses the object.
+        """
         node = self.root
-        for index in range(prefix.length):
-            bit = prefix.bit(index)
+        bits, length = prefix.bits, prefix.length
+        for depth in range(1, length + 1):
+            bit = (bits >> (length - depth)) & 1
             child = node.children.get(bit)
             if child is None:
-                child = TrieNode(prefix.truncate(index + 1))
+                child = TrieNode(
+                    prefix if depth == length else prefix.truncate(depth)
+                )
                 node.children[bit] = child
             node = child
         if not node.marked:
@@ -63,8 +70,9 @@ class BinaryTrie:
         """Remove a prefix; prunes now-useless vertices.  True if found."""
         path: List[TrieNode] = [self.root]
         node = self.root
-        for index in range(prefix.length):
-            node = node.children.get(prefix.bit(index))
+        bits, length = prefix.bits, prefix.length
+        for shift in range(length - 1, -1, -1):
+            node = node.children.get((bits >> shift) & 1)
             if node is None:
                 return False
             path.append(node)
@@ -77,8 +85,7 @@ class BinaryTrie:
         for parent, child in zip(reversed(path[:-1]), reversed(path[1:])):
             if child.marked or child.children:
                 break
-            bit = child.prefix.bit(child.prefix.length - 1)
-            del parent.children[bit]
+            del parent.children[child.prefix.bits & 1]
         return True
 
     # ------------------------------------------------------------------
@@ -87,8 +94,9 @@ class BinaryTrie:
     def find_node(self, prefix: Prefix) -> Optional[TrieNode]:
         """The vertex for ``prefix`` if it exists in the trie."""
         node = self.root
-        for index in range(prefix.length):
-            node = node.children.get(prefix.bit(index))
+        bits, length = prefix.bits, prefix.length
+        for shift in range(length - 1, -1, -1):
+            node = node.children.get((bits >> shift) & 1)
             if node is None:
                 return None
         return node
@@ -135,9 +143,10 @@ class BinaryTrie:
         """
         node = self.root
         best = node if node.marked else None
-        limit = prefix.length if include_self else prefix.length - 1
-        for index in range(max(limit, 0)):
-            node = node.children.get(prefix.bit(index))
+        bits, length = prefix.bits, prefix.length
+        limit = length if include_self else length - 1
+        for shift in range(length - 1, length - 1 - max(limit, 0), -1):
+            node = node.children.get((bits >> shift) & 1)
             if node is None:
                 break
             if node.marked:

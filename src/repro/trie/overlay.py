@@ -69,14 +69,16 @@ class TrieOverlay:
         self.width = sender.width
         self.sender = sender
         self.receiver = receiver
-        self.root = self._merge(sender.root, receiver.root, Prefix.root(self.width))
+        self.root = self._merge(sender.root, receiver.root)
         self._annotate(self.root)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _merge(self, node1, node2, prefix: Prefix) -> OverlayNode:
-        merged = OverlayNode(prefix)
+    def _merge(self, node1, node2) -> OverlayNode:
+        # Both vertices (when present) spell the same path, so either's
+        # prefix object serves the merged vertex.
+        merged = OverlayNode((node1 or node2).prefix)
         merged.marked1 = bool(node1 is not None and node1.marked)
         merged.marked2 = bool(node2 is not None and node2.marked)
         for bit in (0, 1):
@@ -84,7 +86,7 @@ class TrieOverlay:
             child2 = node2.children.get(bit) if node2 is not None else None
             if child1 is None and child2 is None:
                 continue
-            merged.children[bit] = self._merge(child1, child2, prefix.child(bit))
+            merged.children[bit] = self._merge(child1, child2)
         return merged
 
     def _annotate(self, node: OverlayNode) -> None:
@@ -110,11 +112,14 @@ class TrieOverlay:
     # ------------------------------------------------------------------
     def _find_or_create(self, prefix: Prefix) -> OverlayNode:
         node = self.root
-        for index in range(prefix.length):
-            bit = prefix.bit(index)
+        bits, length = prefix.bits, prefix.length
+        for depth in range(1, length + 1):
+            bit = (bits >> (length - depth)) & 1
             child = node.children.get(bit)
             if child is None:
-                child = OverlayNode(prefix.truncate(index + 1))
+                child = OverlayNode(
+                    prefix if depth == length else prefix.truncate(depth)
+                )
                 node.children[bit] = child
             node = child
         return node
@@ -128,8 +133,9 @@ class TrieOverlay:
         """
         path: List[OverlayNode] = [self.root]
         node = self.root
-        for index in range(prefix.length):
-            node = node.children.get(prefix.bit(index))
+        bits, length = prefix.bits, prefix.length
+        for shift in range(length - 1, -1, -1):
+            node = node.children.get((bits >> shift) & 1)
             if node is None:
                 break
             path.append(node)
@@ -169,8 +175,9 @@ class TrieOverlay:
     def find(self, prefix: Prefix) -> Optional[OverlayNode]:
         """The overlay vertex for ``prefix``, or None."""
         node = self.root
-        for index in range(prefix.length):
-            node = node.children.get(prefix.bit(index))
+        bits, length = prefix.bits, prefix.length
+        for shift in range(length - 1, -1, -1):
+            node = node.children.get((bits >> shift) & 1)
             if node is None:
                 return None
         return node

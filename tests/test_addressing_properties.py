@@ -1,10 +1,12 @@
 """Property-based tests for the addressing layer (hypothesis)."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.addressing import (
     Address,
     Prefix,
+    PrefixLengthError,
     format_ipv4,
     format_ipv6,
     parse_ipv4,
@@ -108,3 +110,65 @@ def test_ordering_is_total(items):
     ordered = sorted(items)
     for first, second in zip(ordered, ordered[1:]):
         assert first <= second
+
+
+# ---------------------------------------------------------------------------
+# Derived prefixes (truncate/child/parent/Address.prefix) skip re-validation,
+# so they must be indistinguishable from a checked ``Prefix(bits, length, width)``.
+
+widths = st.sampled_from([32, 128])
+
+
+@st.composite
+def prefixes_any_width(draw):
+    return draw(prefixes(width=draw(widths)))
+
+
+def assert_same_as_checked(derived, bits, length, width):
+    checked = Prefix(bits, length, width)
+    assert type(derived) is Prefix
+    assert (derived.bits, derived.length, derived.width) == (bits, length, width)
+    assert derived == checked and checked == derived
+    assert hash(derived) == hash(checked)
+    assert derived <= checked and checked <= derived
+    assert not derived < checked and not checked < derived
+    assert str(derived) == str(checked)
+
+
+@given(prefixes_any_width(), st.integers(min_value=0, max_value=128))
+def test_derived_prefixes_equal_checked_ones(prefix, cut):
+    width, bits, length = prefix.width, prefix.bits, prefix.length
+    cut = min(cut, length)
+    assert_same_as_checked(
+        prefix.truncate(cut), bits >> (length - cut), cut, width
+    )
+    if length < width:
+        for bit in (0, 1):
+            assert_same_as_checked(
+                prefix.child(bit), (bits << 1) | bit, length + 1, width
+            )
+    if length:
+        assert_same_as_checked(prefix.parent(), bits >> 1, length - 1, width)
+    address = prefix.network_address()
+    assert_same_as_checked(address.prefix(length), bits, length, width)
+    assert_same_as_checked(address.prefix(cut), bits >> (length - cut), cut, width)
+
+
+@given(prefixes_any_width())
+def test_derived_prefixes_still_reject_bad_arguments(prefix):
+    with pytest.raises(PrefixLengthError):
+        prefix.truncate(-1)
+    with pytest.raises(PrefixLengthError):
+        prefix.truncate(prefix.length + 1)
+    with pytest.raises(ValueError):
+        prefix.child(2)
+    full = Prefix(0, prefix.width, prefix.width)
+    with pytest.raises(PrefixLengthError):
+        full.child(0)
+    with pytest.raises(PrefixLengthError):
+        Prefix.root(prefix.width).parent()
+    address = prefix.network_address()
+    with pytest.raises(PrefixLengthError):
+        address.prefix(prefix.width + 1)
+    with pytest.raises(PrefixLengthError):
+        address.prefix(-1)

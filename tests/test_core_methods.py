@@ -4,11 +4,14 @@ The handcrafted pair (conftest) pins down the paper's case analysis
 exactly; the generated pair checks the statistical regime.
 """
 
+import random
+
 import pytest
 
 from repro.addressing import Prefix
 from repro.core import AdvanceMethod, ReceiverState, SimpleMethod
 from repro.core.receiver import TECHNIQUES
+from repro.trie.patricia import PatriciaTrie
 from tests.conftest import p
 
 
@@ -115,3 +118,88 @@ class TestAdvanceMethod:
         table = method.build_table()
         # §3.5: fewer than 10% of Advance entries need the Ptr field.
         assert table.pointer_count() / len(table) < 0.10
+
+
+def _table_signature(table):
+    """Every record of a clue table as comparable plain values."""
+    rows = {}
+    for entry in table.entries():
+        cont = entry.continuation
+        if cont is not None:
+            cont = (
+                type(cont).__name__,
+                cont.entry.prefix,
+                cont.entry_is_clue_vertex,
+                cont.stops,
+            )
+        rows[entry.clue] = (entry.fd_prefix, entry.fd_next_hop, entry.active, cont)
+    return rows
+
+
+def _route_change(receiver_entries, seed):
+    """A seeded update: withdraw, add more-specifics, re-point next hops."""
+    rng = random.Random(seed)
+    table = dict(receiver_entries)
+    present = sorted(table, key=lambda q: (q.length, q.bits))
+    removed = rng.sample(present, 40)
+    added = []
+    for prefix in rng.sample(present, 60):
+        if prefix.length < prefix.width:
+            extra = prefix.child(rng.randrange(2))
+            if extra not in table:
+                added.append((extra, "new-%d" % len(added)))
+    kept = [q for q in present if q not in set(removed)]
+    added.extend((q, "moved") for q in rng.sample(kept, 15))
+    for prefix in removed:
+        table.pop(prefix)
+    table.update(added)
+    return added, removed, table
+
+
+class TestLazyPatricia:
+    """The Patricia trie is built on first use and kept current after."""
+
+    def test_update_before_and_after_first_access(self, pair_tables):
+        _sender, receiver = pair_tables
+        added, removed, updated = _route_change(receiver, seed=7)
+        fresh = PatriciaTrie.from_prefixes(updated.items(), 32)
+
+        early = ReceiverState(receiver)
+        # Built here, then updated in place.
+        assert len(early.patricia) == len(receiver)
+        early.apply_update(add=added, remove=removed)
+
+        late = ReceiverState(receiver)
+        late.apply_update(add=added, remove=removed)
+        assert late._patricia is None  # the update did not build it
+
+        for state in (early, late):
+            assert state.patricia.check_invariant()
+            assert dict(state.patricia.entries()) == dict(fresh.entries())
+            assert len(state.patricia) == len(fresh) == len(updated)
+            assert dict(state.trie.entries()) == updated
+
+    @pytest.mark.parametrize("method", ["simple", "advance"])
+    def test_patricia_technique_tables_identical(
+        self, pair_tables, pair_structures, method
+    ):
+        _sender, receiver = pair_tables
+        sender_trie, _state = pair_structures
+        added, removed, updated = _route_change(receiver, seed=11)
+
+        def table_for(state):
+            if method == "simple":
+                builder = SimpleMethod(state, "patricia")
+            else:
+                builder = AdvanceMethod(sender_trie, state, "patricia")
+            return _table_signature(builder.build_table(sender_trie.prefixes()))
+
+        early = ReceiverState(receiver)
+        assert len(early.patricia) == len(receiver)
+        early.apply_update(add=added, remove=removed)
+        late = ReceiverState(receiver)
+        late.apply_update(add=added, remove=removed)
+        want = table_for(ReceiverState(updated.items()))
+        assert any(row[3] is not None for row in want.values())
+        assert table_for(early) == want
+        assert table_for(late) == want
